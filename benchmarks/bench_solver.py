@@ -229,35 +229,16 @@ def run_benchmarks(
                 )
             )
 
-    # --- parallel solve and campaign (sequential vs -j) ----------------
-    # The per-entry partitioned solve on the seed-richest analysis, and
-    # the Table 2 campaign fanned over worker processes.  The campaign
-    # cutoff is set high enough that no cell is truncated, so sequential
-    # and parallel rows measure *identical* work — per-configuration wall
+    # --- campaign (sequential vs -j) ----------------------------------
+    # The Table 2 campaign fanned over worker processes.  The cutoff is
+    # set high enough that no cell is truncated, so sequential and
+    # parallel rows measure *identical* work — per-configuration wall
     # times inflate under contention and would otherwise trip the cutoff
     # earlier in the parallel run, flattering the comparison.
-    print(f"parallel solve + campaign (sequential vs -j {parallel}):", flush=True)
+    print(f"campaign (sequential vs -j {parallel}):", flush=True)
     from repro.experiments.table2 import run_table2
 
     par_subjects = ("GPL-like",) if quick else ("GPL-like", "MM08-like")
-    for subject_name in par_subjects:
-        product_line = subjects[subject_name]
-
-        def run_parallel_solve(pl=product_line) -> Dict[str, int]:
-            results = SPLLift(
-                UninitializedVariablesAnalysis(pl.icfg),
-                feature_model=pl.feature_model,
-            ).solve(parallel=parallel)
-            return results.stats
-
-        rows.append(
-            _record(
-                f"spllift/{subject_name}/uninitialized_variables/parallel_j{parallel}",
-                run_parallel_solve,
-                rounds,
-            )
-        )
-
     campaign_builders = [
         (name, builder)
         for name, builder in SUBJECT_BUILDERS
@@ -811,8 +792,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--parallel",
         type=int,
         default=4,
-        help="worker count for the parallel solve / campaign rows "
-        "(default 4)",
+        help="worker count for the parallel campaign rows (default 4)",
     )
     parser.add_argument(
         "--max-overhead-pct",
@@ -826,7 +806,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=Path,
         default=None,
         help="also write the rows' work counters as a spllift-metrics/v1 "
-        "snapshot (row.stat -> value) for scripts/compare_metrics.py",
+        "snapshot (row.stat -> value) for `spllift obs diff`",
     )
     args = parser.parse_args(argv)
     if args.rounds < 1:
@@ -863,7 +843,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.stats_out is not None:
         # Work counters only (wall times live in the main report): the
-        # format compare_metrics.py consumes, so CI can gate counter
+        # format `spllift obs diff` consumes, so CI can gate counter
         # drift — e.g. a BDD-node or apply-miss blowup — independently
         # of machine speed.
         counters = {

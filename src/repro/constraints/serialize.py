@@ -1,9 +1,10 @@
 """Canonical cross-process serialization of feature constraints.
 
-Parallel solving ships phase-I results between processes, and the values
-of a lifted solve are :class:`~repro.constraints.bddsystem.BddConstraint`
-handles — integer node ids into a manager that only exists in the worker.
-This module defines the wire format that makes those handles portable:
+Incremental summaries (:mod:`repro.ide.summaries`) store phase-I edge
+functions across processes and runs, and the values of a lifted solve are
+:class:`~repro.constraints.bddsystem.BddConstraint` handles — integer
+node ids into a manager that only exists in one process.  This module
+defines the wire format that makes those handles portable:
 
 - **BDD systems** are encoded *structurally* as a shared node table.
   Every distinct internal node reachable from any root becomes one

@@ -283,8 +283,8 @@ class LiftedProblem(IDEProblem[D, Constraint]):
         scheduled whenever a feature is missing from the feature model.
         Declaring deterministically (feature model first, then
         annotations in statement order, alphabetical within a formula)
-        is what lets a parallel solve's partitions, its parent, and the
-        sequential reference all render bit-identical constraints.
+        is what lets every worklist order, and a warm incremental solve,
+        render constraints bit-identical to the reference solve.
         """
         from collections import deque
 

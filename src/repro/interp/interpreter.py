@@ -12,7 +12,8 @@ record actually-tainted prints and actually-uninitialized reads, which
 the static may-analyses must over-approximate.  Dispatch is *dynamic*
 (by the receiver's runtime class), a subset of the static CHA dispatch.
 
-Executions are bounded by ``fuel`` (instruction steps) and a call-depth
+Executions are bounded by ``fuel`` (executed instruction steps of the
+configured program; disabled instructions are free) and a call-depth
 limit; a run that exhausts either, dereferences null, or divides by zero
 stops early with ``trace.completed = False`` — the events collected up to
 that point are still valid ground truth.
@@ -210,15 +211,16 @@ class Interpreter:
                     f"fell off the end of {method.qualified_name}"
                 )
             instruction = instructions[index]
+            if not self._enabled(instruction):
+                # Disabled statements fall through — including branches
+                # and returns (the feature-annotated CFG semantics).  They
+                # cost no fuel: the configured product does not contain
+                # them, so fuel counts the same steps in both executions.
+                index += 1
+                continue
             trace.steps += 1
             if trace.steps > self.fuel:
                 raise _Stop(f"fuel ({self.fuel} steps) exhausted")
-            enabled = self._enabled(instruction)
-            if not enabled:
-                # Disabled statements fall through — including branches
-                # and returns (the feature-annotated CFG semantics).
-                index += 1
-                continue
             if isinstance(instruction, (Declare,)):
                 index += 1
             elif isinstance(instruction, Assign):

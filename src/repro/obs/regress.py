@@ -1,13 +1,10 @@
 """Cross-run metric regression machinery.
 
-This is the library behind two user surfaces with one contract:
-
-- ``scripts/compare_metrics.py`` — the CI gate that fails the build when
-  committed baseline counters drift (``micro/bdd_kernel``,
-  ``engine/datalog`` thresholds at 0);
-- ``spllift obs diff A B`` — the operator's view of the same question
-  between two runs' ``--metrics`` snapshots (summary-reuse-ratio drop,
-  ``datalog.*`` drift, store hit-ratio regressions).
+This is the library behind ``spllift obs diff A B``, which compares two
+runs' ``--metrics`` snapshots (summary-reuse-ratio drop, ``datalog.*``
+drift, store hit-ratio regressions).  CI calls the same command to fail
+the build when committed baseline counters drift (``micro/bdd_kernel``,
+``engine/datalog``, store and summary-reuse counters).
 
 Counters and gauges present in both snapshots are compared by relative
 drift ``(current - baseline) / baseline``; histograms by their sample

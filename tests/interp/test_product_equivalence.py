@@ -9,7 +9,7 @@ valid configurations and several nondet schedules.
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.interp import Interpreter
 from repro.ir import lower_program
@@ -48,6 +48,9 @@ def run_pair(product_line, config, seed):
     schedule_seed=st.integers(min_value=0, max_value=10),
 )
 @settings(max_examples=25, deadline=None)
+# Both runs exhaust their fuel here; they agree only because disabled
+# instructions cost no fuel.
+@example(subject_seed=260, schedule_seed=0)
 def test_spl_execution_equals_product_execution(subject_seed, schedule_seed):
     spec = SubjectSpec(
         name=f"equiv-{subject_seed}",

@@ -142,19 +142,24 @@ class TestAnalyze:
         assert rc == 1
         assert capsys.readouterr().out == default_out
 
-    def test_parallel_flag_keeps_findings(self, tmp_path, capsys):
-        source = tmp_path / "uninit.mj"
-        source.write_text(
-            "class Main { void main() { int u; int v;\n#ifdef (Init)\nu = 1;\n"
-            "#endif\nv = 2;\nprint(u); print(v); } }"
-        )
-        rc = main(["analyze", str(source), "--analysis", "uninit"])
-        sequential_out = capsys.readouterr().out
-        parallel_rc = main(
-            ["analyze", str(source), "--analysis", "uninit", "--parallel", "2"]
-        )
-        assert parallel_rc == rc
-        assert capsys.readouterr().out == sequential_out
+    def test_rd_output_identical_across_worklist_orders(self, spl_file, capsys):
+        """Informational findings come out of the result table in solve
+        order; the listing must not depend on it."""
+        outputs = []
+        for order in ("fifo", "lifo"):
+            rc = main(
+                ["analyze", spl_file, "--analysis", "rd", "--worklist-order", order]
+            )
+            assert rc == 1
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    def test_parallel_flag_rejected(self, spl_file, capsys):
+        """A solve is one sequential pass; ``-j`` is not an analyze option."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", spl_file, "-j", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: -j 2" in capsys.readouterr().err
 
     def test_bad_worklist_order_rejected(self, spl_file, capsys):
         with pytest.raises(SystemExit):
@@ -218,53 +223,6 @@ class TestEngineFlag:
         assert err.startswith("spllift: error: ")
         assert "--incremental-cache" in err
         assert len(err.strip().splitlines()) == 1
-
-    def test_incremental_cache_parallel_warns_and_reports_one_worker(
-        self, spl_file, tmp_path, capsys
-    ):
-        """--parallel with --incremental-cache must not silently downgrade."""
-        rc = main(
-            [
-                "analyze",
-                spl_file,
-                "--analysis",
-                "taint",
-                "--incremental-cache",
-                str(tmp_path / "inc.db"),
-                "--parallel",
-                "2",
-                "--stats",
-            ]
-        )
-        assert rc in (0, 1)
-        captured = capsys.readouterr()
-        warnings = [
-            line
-            for line in captured.err.splitlines()
-            if line.startswith("spllift: warning: ")
-        ]
-        assert len(warnings) == 1
-        assert "ignoring parallel=2" in warnings[0]
-        assert "parallel_workers: 1" in captured.out
-
-    def test_datalog_parallel_warns(self, spl_file, capsys):
-        rc = main(
-            [
-                "analyze",
-                spl_file,
-                "--analysis",
-                "taint",
-                "--engine",
-                "datalog",
-                "--parallel",
-                "2",
-                "--stats",
-            ]
-        )
-        assert rc in (0, 1)
-        captured = capsys.readouterr()
-        assert "datalog engine is sequential" in captured.err
-        assert "parallel_workers: 1" in captured.out
 
 
 class TestRun:
