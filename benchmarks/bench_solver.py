@@ -12,7 +12,10 @@ runs, the solver's work counters (jump functions, flow applications, edge
 compositions, value updates) and — for lifted runs — the edge-algebra
 cache counters (compose/join hits and misses, interned edge count) with
 derived hit rates.  Unlike the pytest-benchmark suites this output is
-stable, diffable and cheap enough for CI smoke runs.
+stable, diffable and cheap enough for CI smoke runs.  The ``obs_overhead``
+gates are the exception to ``rounds``: they always time
+:data:`OVERHEAD_PAIRS` interleaved A/B pairs and gate on the median paired
+difference, writing its interquartile range beside it.
 """
 
 from __future__ import annotations
@@ -20,11 +23,12 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analyses import (
     PossibleTypesAnalysis,
@@ -43,7 +47,7 @@ from repro.spl.benchmarks import (
     lampiro_like,
     mm08_like,
 )
-from repro.utils.timing import best_of
+from repro.utils.timing import Stopwatch, best_of
 
 SUBJECT_BUILDERS = (
     ("BerkeleyDB-like", berkeleydb_like),
@@ -56,6 +60,16 @@ ANALYSES = (
     ("reaching_definitions", ReachingDefinitionsAnalysis),
     ("uninitialized_variables", UninitializedVariablesAnalysis),
 )
+
+#: Interleaved A/B pairs behind each overhead gate, whatever ``--rounds``
+#: says: a gate on single ~50 ms samples trips on scheduler noise.  On a
+#: 2-vCPU VM, 25 plain-vs-plain gates (identical code on both sides) of 7
+#: pairs failed once (median difference +5.7 ms); 25 of 15 pairs never
+#: (largest +2.9 ms).
+OVERHEAD_PAIRS = 15
+#: An overhead below this many seconds never fails a gate: on short rows
+#: one context switch dwarfs any percentage threshold.
+OVERHEAD_SLACK_SECONDS = 0.005
 
 _CACHE_KEYS = (
     "compose_cache_hits",
@@ -88,17 +102,15 @@ def _cache_summary(stats: Dict[str, int]) -> Dict[str, object]:
     return summary
 
 
-def _record(
-    name: str, fn: Callable[[], Dict[str, int]], rounds: int
+def _row(
+    name: str, min_seconds: float, mean_seconds: float, rounds: int, stats
 ) -> Dict[str, object]:
-    """Time ``fn`` (which returns solver stats) and package one report row."""
-    measured = best_of(fn, rounds=rounds)
-    stats: Dict[str, int] = measured["result"]  # type: ignore[assignment]
+    """Package one report row from its timings and solver stats."""
     row: Dict[str, object] = {
         "benchmark": name,
-        "min_seconds": round(measured["min_seconds"], 6),
-        "mean_seconds": round(measured["mean_seconds"], 6),
-        "rounds": measured["rounds"],
+        "min_seconds": round(min_seconds, 6),
+        "mean_seconds": round(mean_seconds, 6),
+        "rounds": rounds,
         "stats": dict(stats),
     }
     cache = _cache_summary(stats)
@@ -109,6 +121,89 @@ def _record(
         flush=True,
     )
     return row
+
+
+def _record(
+    name: str, fn: Callable[[], Dict[str, int]], rounds: int
+) -> Dict[str, object]:
+    """Time ``fn`` (which returns solver stats) and package one report row."""
+    measured = best_of(fn, rounds=rounds)
+    return _row(
+        name,
+        measured["min_seconds"],
+        measured["mean_seconds"],
+        measured["rounds"],
+        measured["result"],
+    )
+
+
+def _paired_rows(
+    name_a: str,
+    run_a: Callable[[], Dict[str, int]],
+    name_b: str,
+    run_b: Callable[[], Dict[str, int]],
+    prepare: Tuple[Callable[[], None], Callable[[], None]] = (
+        lambda: None,
+        lambda: None,
+    ),
+    pairs: int = OVERHEAD_PAIRS,
+) -> Tuple[Dict[str, object], Dict[str, object]]:
+    """Time ``run_a`` and ``run_b`` as ``pairs`` interleaved A/B samples.
+
+    ``prepare[i]`` runs untimed before each sample of side ``i``.  The
+    side that runs first alternates from pair to pair, so a drift of
+    machine speed within a pair cancels out over the pairs.  Returns one
+    row per side; the B row also carries the median and interquartile
+    range of the paired differences ``b - a`` (seconds) and the median
+    difference as a percentage of A's median time
+    (``overhead_pct_vs_<A>``, A named by the last part of ``name_a``).
+    """
+    runs = (run_a, run_b)
+    times: Tuple[List[float], List[float]] = ([], [])
+    results: List[Dict[str, int]] = [{}, {}]
+    for index in range(pairs):
+        for side in (0, 1) if index % 2 == 0 else (1, 0):
+            prepare[side]()
+            with Stopwatch() as watch:
+                results[side] = runs[side]()
+            times[side].append(watch.elapsed)
+    row_a, row_b = (
+        _row(name, min(t), statistics.fmean(t), pairs, stats)
+        for name, t, stats in zip((name_a, name_b), times, results)
+    )
+    diffs = [b - a for a, b in zip(*times)]
+    quartiles = statistics.quantiles(diffs, n=4)
+    median_diff = statistics.median(diffs)
+    base = statistics.median(times[0])
+    row_b["paired_diff_median_seconds"] = round(median_diff, 6)
+    row_b["paired_diff_iqr_seconds"] = round(quartiles[2] - quartiles[0], 6)
+    row_b[f"overhead_pct_vs_{name_a.rsplit('/', 1)[-1]}"] = round(
+        100.0 * median_diff / base if base else 0.0, 2
+    )
+    return row_a, row_b
+
+
+def _gate_overhead(
+    row: Dict[str, object], what: str, versus: str, limit_pct: float
+) -> None:
+    """Fail the run when ``row``'s median paired overhead over the
+    ``versus`` row exceeds both ``limit_pct`` and
+    :data:`OVERHEAD_SLACK_SECONDS`."""
+    overhead_pct = float(row[f"overhead_pct_vs_{versus}"])
+    median_diff = float(row["paired_diff_median_seconds"])
+    if median_diff > OVERHEAD_SLACK_SECONDS and overhead_pct > limit_pct:
+        raise SystemExit(
+            f"obs_overhead: {what} is {overhead_pct:.1f}% slower than "
+            f"{versus} (median paired difference {median_diff:.6f}s over "
+            f"{row['rounds']} pairs); limit is {limit_pct:.1f}%"
+        )
+    print(
+        f"  {what} overhead vs {versus}: {overhead_pct:+.2f}% "
+        f"(median of {row['rounds']} pairs, IQR "
+        f"{float(row['paired_diff_iqr_seconds']) * 1000.0:.2f} ms; "
+        f"limit {limit_pct:.1f}%)",
+        flush=True,
+    )
 
 
 def _git_revision(repo_root: Path) -> Optional[str]:
@@ -285,8 +380,8 @@ def run_benchmarks(
     # ``off`` runs the exact code path every row above used (the
     # NullTracer no-op guard); ``on`` installs a real tracer and pays
     # for span bookkeeping.  The off row must stay within
-    # ``max_overhead_pct`` of the plain single-pass row measured above:
-    # disabled telemetry is required to be free (ISSUE 5 gate).
+    # ``max_overhead_pct`` of a plain row timed in interleaved pairs with
+    # it: disabled telemetry is required to be free.
     print("observability overhead A/B (tracer off vs on):", flush=True)
     from repro.obs import runtime as obs_runtime
 
@@ -304,20 +399,15 @@ def run_benchmarks(
         ).solve()
         return results.stats
 
-    # A fresh plain row measured back-to-back with the off row: the
-    # process has aged since the single-pass section (warm BDD tables,
-    # allocator state), so gating against that early row measures drift,
-    # not overhead.
-    plain_row = _record(
+    # plain and off run the same code path; interleaving them pairs each
+    # off sample with a plain sample taken under the same machine state.
+    plain_row, off_row = _paired_rows(
         f"obs_overhead/{obs_subject}/{obs_analysis_name}/plain",
         run_obs,
-        rounds,
+        f"obs_overhead/{obs_subject}/{obs_analysis_name}/off",
+        run_obs,
     )
     rows.append(plain_row)
-
-    off_row = _record(
-        f"obs_overhead/{obs_subject}/{obs_analysis_name}/off", run_obs, rounds
-    )
     rows.append(off_row)
 
     obs_runtime.reset()
@@ -334,36 +424,12 @@ def run_benchmarks(
         obs_runtime.reset()
     rows.append(on_row)
 
-    base_seconds = float(plain_row["min_seconds"])
     off_seconds = float(off_row["min_seconds"])
-    on_seconds = float(on_row["min_seconds"])
-    overhead_pct = (
-        100.0 * (off_seconds - base_seconds) / base_seconds
-        if base_seconds
-        else 0.0
-    )
-    off_row["overhead_pct_vs_plain"] = round(overhead_pct, 2)
     if off_seconds:
         on_row["overhead_pct_vs_off"] = round(
-            100.0 * (on_seconds - off_seconds) / off_seconds, 2
+            100.0 * (float(on_row["min_seconds"]) - off_seconds) / off_seconds, 2
         )
-    # Absolute slack absorbs scheduler noise on sub-10ms rows, where a
-    # single context switch dwarfs any percentage threshold.
-    slack_seconds = 0.005
-    if (
-        off_seconds - base_seconds > slack_seconds
-        and overhead_pct > max_overhead_pct
-    ):
-        raise SystemExit(
-            f"obs_overhead: disabled-telemetry run is {overhead_pct:.1f}% "
-            f"slower than the plain pass ({off_seconds:.6f}s vs "
-            f"{base_seconds:.6f}s); limit is {max_overhead_pct:.1f}%"
-        )
-    print(
-        f"  disabled-telemetry overhead vs plain pass: {overhead_pct:+.2f}% "
-        f"(limit {max_overhead_pct:.1f}%)",
-        flush=True,
-    )
+    _gate_overhead(off_row, "disabled telemetry", "plain", max_overhead_pct)
 
     # --- flight recorder A/B: ring disarmed vs armed ------------------
     # The flight ring is *always on* by default (it is what makes a
@@ -372,51 +438,32 @@ def run_benchmarks(
     # default path every row above already ran.
     print("flight recorder overhead A/B (ring off vs on):", flush=True)
     max_flight_overhead_pct = 2.0
-    obs_runtime.reset()
-    obs_runtime.disable_flight()
+    flight_events: List[int] = []
+
+    def disarm_flight() -> None:
+        obs_runtime.reset()
+        obs_runtime.disable_flight()
+
+    def run_flight_on() -> Dict[str, int]:
+        stats = run_obs()
+        flight_events.append(len(obs_runtime.flight().events()))
+        return stats
+
     try:
-        flight_off_row = _record(
+        flight_off_row, flight_on_row = _paired_rows(
             f"obs_overhead/{obs_subject}/{obs_analysis_name}/flight_off",
             run_obs,
-            rounds,
+            f"obs_overhead/{obs_subject}/{obs_analysis_name}/flight_on",
+            run_flight_on,
+            prepare=(disarm_flight, obs_runtime.reset),
         )
     finally:
         obs_runtime.reset()
+    flight_on_row["flight_events"] = flight_events[-1]
     rows.append(flight_off_row)
-
-    flight_on_row = _record(
-        f"obs_overhead/{obs_subject}/{obs_analysis_name}/flight_on",
-        run_obs,
-        rounds,
-    )
-    flight_on_row["flight_events"] = len(obs_runtime.flight().events())
-    obs_runtime.reset()
     rows.append(flight_on_row)
-
-    flight_off_seconds = float(flight_off_row["min_seconds"])
-    flight_on_seconds = float(flight_on_row["min_seconds"])
-    flight_overhead_pct = (
-        100.0 * (flight_on_seconds - flight_off_seconds) / flight_off_seconds
-        if flight_off_seconds
-        else 0.0
-    )
-    flight_on_row["overhead_pct_vs_flight_off"] = round(
-        flight_overhead_pct, 2
-    )
-    if (
-        flight_on_seconds - flight_off_seconds > slack_seconds
-        and flight_overhead_pct > max_flight_overhead_pct
-    ):
-        raise SystemExit(
-            f"obs_overhead: armed flight ring is "
-            f"{flight_overhead_pct:.1f}% slower than disarmed "
-            f"({flight_on_seconds:.6f}s vs {flight_off_seconds:.6f}s); "
-            f"limit is {max_flight_overhead_pct:.1f}%"
-        )
-    print(
-        f"  armed-ring overhead vs disarmed: {flight_overhead_pct:+.2f}% "
-        f"(limit {max_flight_overhead_pct:.1f}%)",
-        flush=True,
+    _gate_overhead(
+        flight_on_row, "armed flight ring", "flight_off", max_flight_overhead_pct
     )
 
     # --- analysis service: batch cold vs warm (the result-store path) --
@@ -799,7 +846,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=float,
         default=2.0,
         help="fail if the disabled-telemetry obs_overhead row is more than "
-        "this many percent slower than the plain pass (default 2.0)",
+        "this many percent slower than the plain pass, in the median of "
+        "interleaved pairs (default 2.0)",
     )
     parser.add_argument(
         "--stats-out",

@@ -163,13 +163,23 @@ def check_obs(reference: dict, order: str, seed: int) -> int:
     Two passes, both of which must be invisible in the results:
 
     1. flight recorder + structured event log armed (``enable_flight``
-       + ``enable_log``), all 12 combinations re-solved in process;
+       + ``enable_log``), all 12 combinations re-solved in process
+       through the batch scheduler's inline path (``use_pool=False``),
+       whose job events are what the log must record — a pass that
+       writes no log line fails;
     2. the paper campaign run against a served HTTP store with a run id
        set, so every store request carries the
        ``X-SPLLIFT-Run-Id``/``X-SPLLIFT-Parent-Span`` propagation
        headers and the server opens correlated request spans.
     """
-    from repro.service import make_server, open_store, run_batch
+    from dataclasses import replace
+
+    from repro.service import (
+        make_server,
+        open_store,
+        paper_campaign_jobs,
+        run_batch,
+    )
 
     failures = 0
     with tempfile.TemporaryDirectory(prefix="spllift-obs-") as tmp:
@@ -178,7 +188,19 @@ def check_obs(reference: dict, order: str, seed: int) -> int:
         obs.enable_flight()
         obs.enable_log(log_path)
         try:
-            observed = compute_digests(order, seed)
+            inline = run_batch(
+                [
+                    replace(
+                        job, options={"worklist_order": order, "order_seed": seed}
+                    )
+                    for job in paper_campaign_jobs()
+                ],
+                use_pool=False,
+            )
+            observed = {
+                f"{outcome.job.label}/{outcome.job.analysis}": outcome.result_digest
+                for outcome in inline.outcomes
+            }
         finally:
             flight_events = len(obs.flight().events())
             log_lines = sum(
@@ -188,12 +210,16 @@ def check_obs(reference: dict, order: str, seed: int) -> int:
             obs.reset()
         observed_failures = 0
         for key, digest in observed.items():
-            if digest != reference[key]:
+            expected = reference.get(key)
+            if expected is None or digest != expected:
                 observed_failures += 1
                 print(
-                    f"OBS MISMATCH {key}: observed={digest[:16]}… "
-                    f"bare={reference[key][:16]}…"
+                    f"OBS MISMATCH {key}: observed={str(digest)[:16]}… "
+                    f"bare={str(expected)[:16]}…"
                 )
+        if not log_lines:
+            observed_failures += 1
+            print("OBS EVENT LOG EMPTY: the armed pass wrote no log line")
         failures += observed_failures
         print(
             f"{len(observed)} digests with flight recorder + event log "
@@ -204,8 +230,6 @@ def check_obs(reference: dict, order: str, seed: int) -> int:
                 else f"{observed_failures} mismatches"
             )
         )
-
-        from repro.service import paper_campaign_jobs
 
         served = open_store(f"sqlite://{Path(tmp) / 'served.db'}")
         server = make_server(served, port=0)

@@ -10,6 +10,10 @@ objects through their context-insensitive points-to sets".
 Facts are immutable value objects with their hash computed once at
 construction: the solvers key path edges, jump tables and memo caches on
 (statement, fact) tuples, so fact hashing sits on the tabulation hot path.
+Hashes are built from strings only — class *names*, and a definition
+site's location rather than the identity-hashed instruction — so under a
+fixed ``PYTHONHASHSEED`` the iteration order of a set of facts, and with
+it the solver's work counters, does not depend on object addresses.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ class LocalFact:
 
     def __init__(self, name: str) -> None:
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_hash", hash((LocalFact, name)))
+        object.__setattr__(self, "_hash", hash(("LocalFact", name)))
 
     def __setattr__(self, key: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -52,7 +56,7 @@ class FieldFact:
         object.__setattr__(self, "class_name", class_name)
         object.__setattr__(self, "field_name", field_name)
         object.__setattr__(
-            self, "_hash", hash((FieldFact, class_name, field_name))
+            self, "_hash", hash(("FieldFact", class_name, field_name))
         )
 
     def __setattr__(self, key: str, value: object) -> None:
@@ -82,7 +86,7 @@ class TypedLocal:
     def __init__(self, name: str, class_name: str) -> None:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "class_name", class_name)
-        object.__setattr__(self, "_hash", hash((TypedLocal, name, class_name)))
+        object.__setattr__(self, "_hash", hash(("TypedLocal", name, class_name)))
 
     def __setattr__(self, key: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -117,7 +121,7 @@ class TypedField:
         object.__setattr__(
             self,
             "_hash",
-            hash((TypedField, declaring_class, field_name, class_name)),
+            hash(("TypedField", declaring_class, field_name, class_name)),
         )
 
     def __setattr__(self, key: str, value: object) -> None:
@@ -150,7 +154,7 @@ class DefFact:
     def __init__(self, name: str, site: Instruction) -> None:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "site", site)
-        object.__setattr__(self, "_hash", hash((DefFact, name, site)))
+        object.__setattr__(self, "_hash", hash(("DefFact", name, site.location)))
 
     def __setattr__(self, key: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")

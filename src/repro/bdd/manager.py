@@ -103,6 +103,11 @@ class BDDManager:
         self._not_cache: Dict[int, int] = {}
         self._satcount_cache: Dict[int, int] = {}
         self._support_cache: Dict[int, frozenset] = {}
+        # Rendered sum-of-products strings.  Valid until a reorder: sift
+        # changes the cube order of surviving nodes and recycles the slots
+        # of retired ones.  A new variable goes below all existing ones,
+        # so declaring it leaves every rendering as it was.
+        self._render_cache: Dict[int, str] = {}
         # Unified apply accounting: one (hit or miss) tick per cache
         # probe, wherever the probe happens — top-level fast path and
         # in-kernel probes share the same counters.
@@ -1316,6 +1321,7 @@ class BDDManager:
         self._restrict_cache.clear()
         self._satcount_cache.clear()
         self._support_cache.clear()
+        self._render_cache.clear()
         self._reorders += 1
         obs.tracer().instant(
             "bdd/reorder",
@@ -1361,18 +1367,25 @@ class BDDManager:
     # ------------------------------------------------------------------
 
     def to_expr_string(self, node: int) -> str:
-        """A human-readable sum-of-products rendering (for small BDDs)."""
+        """A human-readable sum-of-products rendering (for small BDDs).
+
+        Memoized per node id until the next :meth:`sift`, so a result
+        table that holds the same constraint many times renders it once.
+        """
         if node == FALSE:
             return "false"
         if node == TRUE:
             return "true"
-        cubes: List[str] = []
-        for cube in self._iter_cubes(node):
-            literals = [
-                name if positive else f"!{name}" for name, positive in cube
-            ]
-            cubes.append(" & ".join(literals))
-        return " | ".join(cubes)
+        rendered = self._render_cache.get(node)
+        if rendered is None:
+            cubes: List[str] = []
+            for cube in self._iter_cubes(node):
+                literals = [
+                    name if positive else f"!{name}" for name, positive in cube
+                ]
+                cubes.append(" & ".join(literals))
+            rendered = self._render_cache[node] = " | ".join(cubes)
+        return rendered
 
     def _iter_cubes(self, node: int) -> Iterator[Tuple[Tuple[str, bool], ...]]:
         """Yield the BDD's paths to ``true`` as cubes of literals."""

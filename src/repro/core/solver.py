@@ -132,17 +132,27 @@ class SPLLiftResults(Generic[D]):
         sha256 :meth:`result_digest` is computed over.
         """
         lines = []
+        prefixes: Dict[Instruction, str] = {}
         for (stmt, fact), constraint in self._ide.items():
             if constraint.is_false:
                 continue
-            lines.append(f"{stmt.location}|{stmt}|{fact!r}|{constraint}")
+            prefix = prefixes.get(stmt)
+            if prefix is None:
+                prefix = prefixes[stmt] = f"{stmt.location}|{stmt}|"
+            lines.append(f"{prefix}{fact!r}|{constraint}")
         lines.sort()
         return lines
 
-    def result_digest(self) -> str:
+    def result_digest(self, lines: Optional[List[str]] = None) -> str:
         """sha256 hex digest of :meth:`result_lines` — the bit-identity
-        check used by the regression protocol and the warm-cache verify."""
-        payload = "\n".join(self.result_lines()).encode("utf-8")
+        check used by the regression protocol and the warm-cache verify.
+
+        Pass ``lines`` already returned by :meth:`result_lines` to digest
+        them without rendering the solution a second time.
+        """
+        if lines is None:
+            lines = self.result_lines()
+        payload = "\n".join(lines).encode("utf-8")
         return hashlib.sha256(payload).hexdigest()
 
 

@@ -225,13 +225,17 @@ class IDESolver(Generic[D, V]):
         # Entries currently enqueued; re-joining a pending entry must not
         # enqueue it twice — its single pop reads the latest joined function.
         self._pending: Set[Tuple[D, Instruction, D]] = set()
-        # (method, entry fact) -> {(exit stmt, exit fact)}
+        # The two context tables map to insertion-ordered dicts used as
+        # sets: their tuples hold identity-hashed instructions, and a set
+        # would iterate them in memory-address order, making the work
+        # counters depend on what else the process has allocated.
+        # (method, entry fact) -> {(exit stmt, exit fact): None}
         self._end_summaries: Dict[
-            Tuple[IRMethod, D], Set[Tuple[Instruction, D]]
+            Tuple[IRMethod, D], Dict[Tuple[Instruction, D], None]
         ] = {}
-        # (method, entry fact) -> {(call stmt, caller source fact, call fact)}
+        # (method, entry fact) -> {(call stmt, caller source fact, call fact): None}
         self._incoming: Dict[
-            Tuple[IRMethod, D], Set[Tuple[Instruction, D, D]]
+            Tuple[IRMethod, D], Dict[Tuple[Instruction, D, D], None]
         ] = {}
         self._all_top = problem.all_top()
         # Exploded-successor memos.  Flow functions and edge functions
@@ -545,7 +549,7 @@ class IDESolver(Generic[D, V]):
                     # callee's summaries apply on this very visit.
                     provider.ensure_context(self, callee, d3, start)
                 context = (callee, d3)
-                self._incoming.setdefault(context, set()).add((n, d1, d2))
+                self._incoming.setdefault(context, {})[(n, d1, d2)] = None
                 summaries = self._end_summaries.get(context)
                 if not summaries:
                     continue
@@ -626,9 +630,9 @@ class IDESolver(Generic[D, V]):
     ) -> None:
         method = self.icfg.method_of(n)
         context = (method, d1)
-        self._end_summaries.setdefault(context, set()).add((n, d2))
+        self._end_summaries.setdefault(context, {})[(n, d2)] = None
         for call, caller_source, call_fact in tuple(
-            self._incoming.get(context, set())
+            self._incoming.get(context, ())
         ):
             caller_fn = self._jump_fn(call, caller_source, call_fact)
             self._apply_summary(

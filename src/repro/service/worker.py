@@ -136,12 +136,13 @@ def build_record(job: AnalysisJob, results, solve_seconds: float) -> Dict[str, o
         for (_, fact), constraint in results.items()
         if fact is not ZERO and not constraint.is_false
     )
+    lines = results.result_lines()
     return {
         "schema": RESULT_SCHEMA,
         "digest": job.digest,
         "job": job.describe(),
-        "result_digest": results.result_digest(),
-        "lines": results.result_lines(),
+        "result_digest": results.result_digest(lines),
+        "lines": lines,
         "facts": facts,
         "stats": dict(results.stats),
         "solve_seconds": round(solve_seconds, 6),

@@ -65,6 +65,26 @@ class TestWarmPath:
         assert row["digest"] == _job().digest
 
 
+class TestRecordRendering:
+    def test_build_record_renders_the_solution_once(self, monkeypatch):
+        import hashlib
+
+        from repro.core.solver import SPLLiftResults
+
+        calls = []
+        render = SPLLiftResults.result_lines
+
+        def counted(self):
+            calls.append(self)
+            return render(self)
+
+        monkeypatch.setattr(SPLLiftResults, "result_lines", counted)
+        record = execute_job(_job())
+        assert len(calls) == 1
+        payload = "\n".join(record["lines"]).encode("utf-8")
+        assert record["result_digest"] == hashlib.sha256(payload).hexdigest()
+
+
 class TestPoolEquivalence:
     def test_pool_matches_inline_digest(self, tmp_path):
         jobs = [_job(), _job(analysis="uninit")]
